@@ -271,8 +271,9 @@ BENCHMARK(BM_ConcurrentDecide)
     ->UseRealTime();
 
 /// Contrast: the classic mutex-serialized decide() under the same fan-in.
-/// Memoization makes the per-call work comparable; the difference is the
-/// critical section.
+/// Each call also prepares a one-shot O(V²) epoch from the snapshot, so the
+/// gap to BM_ConcurrentDecide is that preparation plus the critical
+/// section.
 void BM_ClassicDecideLocked(benchmark::State& state) {
   static core::NetworkLoadAwareAllocator allocator;
   static core::ResourceBroker broker(allocator);

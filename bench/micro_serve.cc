@@ -4,8 +4,9 @@
 // >= 5x the decisions/sec of the mutex-fronted classic path at 8 producer
 // threads. Four front ends over one V=256 snapshot, same request:
 //
-//   BM_MutexFrontedServe  classic decide(snapshot, request): the allocator
-//                         and aggregates memo serialize on decide_mutex_.
+//   BM_MutexFrontedServe  classic decide(snapshot, request): every call
+//                         prepares a one-shot epoch and serializes on the
+//                         borrowed allocator's decide_mutex_.
 //   BM_EpochDirectServe   decide(pin, request): lock-free epoch path, but
 //                         every caller pays a full Algorithm-1/2 pass.
 //   BM_ShardServeNoCache  sharded rings + per-drain epoch pinning, every
@@ -15,16 +16,11 @@
 //
 // The committed BENCH_serve.json carries the full-length run; CI re-runs a
 // short version and enforces the warm/mutex ratio (see ci.yml).
-//
-// BM_ScoreAdditionRow* isolate the SIMD inner loop itself (addition costs
-// A_v(u) = alpha*CL(u) + beta*NL(v,u) over one contiguous NL row).
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <vector>
 
 #include "core/broker.h"
-#include "core/prepared.h"
 #include "core/serve_shard.h"
 #include "monitor/snapshot.h"
 #include "sim/rng.h"
@@ -170,42 +166,6 @@ void BM_ShardServeWarm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ShardServeWarm)->Threads(kProducerThreads)->UseRealTime();
-
-// --- SIMD inner loop ---
-
-void score_row_bench(benchmark::State& state, bool scalar) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  sim::Rng rng(11);
-  std::vector<double> cl(n);
-  std::vector<double> row(n);
-  std::vector<double> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cl[i] = rng.uniform(0.0, 1.0);
-    row[i] = rng.uniform(0.0, 1.0);
-  }
-  for (auto _ : state) {
-    if (scalar) {
-      core::simd::score_addition_row_scalar(0.3, cl, row.data(), 0.7, out);
-    } else {
-      core::simd::score_addition_row(0.3, cl, row.data(), 0.7, out);
-    }
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n));
-  state.SetLabel(scalar ? "scalar" : core::simd::active_kernel_name());
-}
-
-void BM_ScoreAdditionRowScalar(benchmark::State& state) {
-  score_row_bench(state, /*scalar=*/true);
-}
-BENCHMARK(BM_ScoreAdditionRowScalar)->Arg(256)->Arg(4096);
-
-void BM_ScoreAdditionRowDispatched(benchmark::State& state) {
-  score_row_bench(state, /*scalar=*/false);
-}
-BENCHMARK(BM_ScoreAdditionRowDispatched)->Arg(256)->Arg(4096);
 
 }  // namespace
 

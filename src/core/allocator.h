@@ -86,12 +86,11 @@ class Allocator {
 /// The paper's contribution: Algorithms 1 + 2 over monitored compute and
 /// network load.
 ///
-/// Fast path: the normalized CL vector, NL matrix and pc vector only depend
-/// on the snapshot and the request's weight/ppn profile, so the allocator
-/// memoizes them keyed on the snapshot's version counter. Back-to-back
-/// requests against the same monitored state (the common broker pattern)
-/// skip the O(V²) input preparation entirely. Unversioned snapshots
-/// (version == 0) always recompute.
+/// Each call builds a one-shot prepared epoch from the snapshot
+/// (prepare_epoch) and scores it with allocate_prepared — the same path the
+/// broker's epoch decide() runs, so the two cannot drift apart. Serving
+/// loops that decide many times per snapshot should publish epochs through
+/// ResourceBroker::refresh_epoch instead of re-preparing on every call.
 class NetworkLoadAwareAllocator : public Allocator {
  public:
   std::string name() const override { return "network-load-aware"; }
@@ -106,7 +105,8 @@ class NetworkLoadAwareAllocator : public Allocator {
     return generation_options_;
   }
 
-  /// Full scoring detail of the last allocate() call (for analysis benches).
+  /// Full scoring detail of the last allocate() call (for --explain and the
+  /// analysis benches).
   const SelectionResult& last_selection() const { return last_selection_; }
   const std::vector<cluster::NodeId>& last_node_set() const {
     return last_node_set_;
@@ -117,35 +117,7 @@ class NetworkLoadAwareAllocator : public Allocator {
   }
 
  private:
-  /// Normalized allocator inputs over the snapshot's usable node set.
-  struct PreparedInputs {
-    std::vector<cluster::NodeId> usable;
-    std::vector<double> cl;
-    util::FlatMatrix nl;
-    std::vector<int> pc;
-  };
-  /// Everything the prepared inputs depend on. `version` 0 never matches.
-  /// The snapshot's float timestamp is deliberately NOT part of the key:
-  /// the version counter already changes on every store write, and keying
-  /// on wall-clock time made periodic re-assembly of unchanged data defeat
-  /// the memo.
-  struct PreparedKey {
-    std::uint64_t version = 0;
-    std::size_t node_count = 0;
-    ComputeLoadWeights compute_weights;
-    NetworkLoadWeights network_weights;
-    int ppn = 0;
-
-    bool operator==(const PreparedKey&) const = default;
-  };
-
-  const PreparedInputs& prepare(const monitor::ClusterSnapshot& snapshot,
-                                const AllocationRequest& request);
-
   GenerationOptions generation_options_;
-  PreparedInputs prepared_;
-  PreparedKey prepared_key_;
-  bool has_prepared_ = false;
   SelectionResult last_selection_;
   std::vector<cluster::NodeId> last_node_set_;
   AllocStats stats_;

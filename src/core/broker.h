@@ -6,9 +6,9 @@
 // should recommend waiting rather than allocating it right away").
 //
 // Two serving paths:
-//  - decide(snapshot, request): the classic synchronous path. Thread-safe
-//    but serialized (the borrowed allocator and the aggregates memo are
-//    shared mutable state).
+//  - decide(snapshot, request): the classic synchronous path. Thread-safe;
+//    only the borrowed allocator call is serialized (the allocator keeps
+//    per-call scratch).
 //  - refresh_epoch(...) + decide(pin, request): the concurrent path. A
 //    refresh thread turns snapshots (or snapshot deltas) into immutable
 //    prepared epochs; any number of threads decide() against their pinned
@@ -182,15 +182,6 @@ class ResourceBroker {
     return refusals_.load(std::memory_order_relaxed);
   }
 
-  /// Candidate fan-out options for the epoch paths. Defaults to serial
-  /// generation: with many decide() threads in flight, cross-request
-  /// concurrency already fills the machine, and per-request fork-join only
-  /// adds coordination. (The classic path keeps the allocator's own
-  /// options.)
-  void set_epoch_generation_options(const GenerationOptions& options) {
-    epoch_generation_options_ = options;
-  }
-
   /// Attaches a decision-audit sink; every decide() appends one record.
   /// Pass nullptr to detach. The log must outlive the broker (borrowed).
   /// Set before concurrent decides start (the pointer itself is unguarded;
@@ -203,31 +194,6 @@ class ResourceBroker {
   /// resolution / the stale refusal, and replays cached placements through
   /// replay_decision.
   friend class ServePlane;
-
-  /// Snapshot-level aggregates the wait/allocate gate needs. They only
-  /// depend on the snapshot and the request's ppn, so they are memoized on
-  /// the snapshot version counter — a broker fielding many requests between
-  /// monitor updates computes them once. Version 0 (unversioned snapshot)
-  /// never matches.
-  struct Aggregates {
-    std::vector<cluster::NodeId> usable;
-    double load_per_core = 0.0;
-    int effective_capacity = 0;
-  };
-  /// The float snapshot timestamp is deliberately NOT part of the key: the
-  /// version counter already changes on every store write (and is trusted
-  /// whenever nonzero), while wall-clock time drifts on every re-assembly
-  /// of unchanged data and was defeating the memo.
-  struct AggregatesKey {
-    std::uint64_t version = 0;
-    std::size_t node_count = 0;
-    int ppn = 0;
-
-    bool operator==(const AggregatesKey&) const = default;
-  };
-
-  const Aggregates& aggregates(const monitor::ClusterSnapshot& snapshot,
-                               const AllocationRequest& request);
 
   /// Shared preamble of the four refresh_epoch overloads: constructs the
   /// right builder shape on first use or profile change and re-attaches the
@@ -256,7 +222,7 @@ class ResourceBroker {
       std::shared_ptr<const PreparedSnapshot>& keepalive, const char*& note,
       double& last_good_age);
 
-  /// Hand-rolled wait verdict + audit for a refused stale decision.
+  /// Wait verdict + audit for a refused stale decision.
   BrokerDecision refuse_stale(const PreparedSnapshot& prepared,
                               const AllocationRequest& request,
                               double last_good_age);
@@ -271,18 +237,23 @@ class ResourceBroker {
                                  const BrokerDecision& cached,
                                  const char* degradation_note);
 
+  /// Appends one decision's audit record (no-op without a log); every
+  /// record the broker writes is built here. `prepared` is the serving
+  /// epoch, or nullptr on the classic path (epoch 0, both cache flags
+  /// false). `snapshot` names the hosts (the epoch's snapshot on the epoch
+  /// paths). `stats` is null when no scoring pass ran.
+  void audit(const AllocationRequest& request, const BrokerDecision& decision,
+             const monitor::ClusterSnapshot& snapshot,
+             const PreparedSnapshot* prepared, std::size_t usable_nodes,
+             const char* degradation, const AllocStats* stats,
+             double gate_seconds, double total_seconds);
+
   Allocator& allocator_;
   BrokerPolicy policy_;
-  /// Guards only the classic path's genuinely shared mutable state — the
-  /// aggregates memo and the borrowed allocator — NOT the whole decide():
-  /// gate evaluation, stat counters (atomics) and the audit append run
-  /// outside it, so wait verdicts and audit I/O no longer serialize
-  /// concurrent classic callers.
+  /// Serializes the classic path's calls into the borrowed allocator (its
+  /// stats and last selection are per-call scratch). Gate evaluation, stat
+  /// counters (atomics) and the audit append run outside it.
   std::mutex decide_mutex_;
-  Aggregates aggregates_;
-  AggregatesKey aggregates_key_;
-  bool has_aggregates_ = false;
-  bool last_aggregates_hit_ = false;  ///< memo outcome of the last decide()
   std::atomic<int> decisions_{0};
   std::atomic<int> waits_{0};
   std::atomic<int> fallbacks_{0};
@@ -301,8 +272,6 @@ class ResourceBroker {
   /// builder_mutex_ like the builder it is attached to.
   std::unique_ptr<util::ThreadPool> refresh_pool_;
   EpochPublisher publisher_;
-  GenerationOptions epoch_generation_options_{.parallel_threshold = -1,
-                                              .pool = nullptr};
 };
 
 }  // namespace nlarm::core

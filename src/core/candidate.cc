@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/prepared.h"
 #include "obs/catalog.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -97,13 +96,21 @@ Candidate generate_candidate(std::size_t start, std::span<const double> cl,
   thread_local std::vector<double> addition;
   thread_local std::vector<std::size_t> order;
 
-  // Addition costs A_v(u) = α·CL(u) + β·NL(v,u), vectorized over the
-  // contiguous NL row (AVX2/NEON behind runtime dispatch, bit-identical to
-  // the scalar loop — see core/prepared.h). A_v(v) = 0 so the start node
-  // sorts first; the row kernel writes α·CL(v) there (the NL diagonal is
-  // zero), overwritten after.
+  // Addition costs A_v(u) = α·CL(u) + β·NL(v,u) over the contiguous NL
+  // row. A_v(v) = 0 so the start node sorts first; the loop writes α·CL(v)
+  // there (the NL diagonal is zero), overwritten after. α and β are locals
+  // so the stores cannot alias them, which lets an optimized build keep
+  // them in registers and vectorize the loop (separate mul and add — the
+  // default ISA has no FMA — so the bits match the scalar expression).
   addition.resize(count);
-  simd::score_addition_row(job.alpha, cl, nl[start], job.beta, addition);
+  const double alpha = job.alpha;
+  const double beta = job.beta;
+  const double* cl_row = cl.data();
+  const double* nl_row = nl[start];
+  double* out = addition.data();
+  for (std::size_t u = 0; u < count; ++u) {
+    out[u] = alpha * cl_row[u] + beta * nl_row[u];
+  }
   addition[start] = 0.0;
 
   order.resize(count);

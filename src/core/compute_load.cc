@@ -75,4 +75,21 @@ std::vector<int> effective_process_counts(
   return counts;
 }
 
+GateLoad gate_load(const monitor::ClusterSnapshot& snapshot,
+                   std::span<const cluster::NodeId> nodes,
+                   std::span<const int> pc) {
+  double load_sum = 0.0;
+  double core_sum = 0.0;
+  for (cluster::NodeId id : nodes) {
+    const monitor::NodeSnapshot& node =
+        snapshot.nodes[static_cast<std::size_t>(id)];
+    load_sum += node.cpu_load_avg.one_min;
+    core_sum += static_cast<double>(node.spec.core_count);
+  }
+  GateLoad gate;
+  gate.load_per_core = core_sum > 0.0 ? load_sum / core_sum : 0.0;
+  for (int c : pc) gate.effective_capacity += c;
+  return gate;
+}
+
 }  // namespace nlarm::core

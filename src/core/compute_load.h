@@ -29,4 +29,17 @@ std::vector<int> effective_process_counts(
     const monitor::ClusterSnapshot& snapshot,
     std::span<const cluster::NodeId> nodes, int ppn);
 
+/// The broker's wait/allocate gate inputs over a working node set.
+struct GateLoad {
+  double load_per_core = 0.0;  ///< Σ 1-min load / Σ logical cores
+  int effective_capacity = 0;  ///< Σ pc
+};
+
+/// Gate inputs for `nodes` with their pc vector (parallel to `nodes`). The
+/// one definition the classic decide() and the epoch builder share, so
+/// their gate verdicts agree bit for bit.
+GateLoad gate_load(const monitor::ClusterSnapshot& snapshot,
+                   std::span<const cluster::NodeId> nodes,
+                   std::span<const int> pc);
+
 }  // namespace nlarm::core

@@ -345,14 +345,11 @@ Allocation HierarchicalAllocator::allocate(
   if (options_.pair_sample == 0) {
     // Exact mode: run the real two-phase path against a tiled epoch built
     // from this snapshot (phase-1 aggregates from exact tile accumulators).
-    const auto snapshot_ref = std::shared_ptr<const monitor::ClusterSnapshot>(
-        std::shared_ptr<const void>(), &snapshot);
     TilingOptions tiling;
     tiling.block_size = options_.block_size;
     tiling.dense_nl_limit = 0;  // phase 2 materializes only chosen tiles
-    PreparedBuilder builder(RequestProfile::of(request), tiling);
-    builder.rebuild(snapshot_ref);
-    const std::shared_ptr<PreparedSnapshot> prepared = builder.build();
+    const std::shared_ptr<PreparedSnapshot> prepared =
+        prepare_epoch(snapshot, RequestProfile::of(request), tiling);
     Allocation allocation =
         allocate_two_phase(*prepared, request, options_, {}, nullptr, &stats_);
     chosen_ = stats_.chosen_blocks;

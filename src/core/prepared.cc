@@ -1,16 +1,8 @@
 #include "core/prepared.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstring>
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#include <immintrin.h>
-#endif
-#if defined(__aarch64__)
-#include <arm_neon.h>
-#endif
 
 #include "core/compute_load.h"
 #include "core/normalize.h"
@@ -770,8 +762,8 @@ void prepared_network_loads(const monitor::ClusterSnapshot& snapshot,
                             std::span<const cluster::NodeId> nodes,
                             const NetworkLoadWeights& weights,
                             util::FlatMatrix& out) {
-  // Reused per thread so repeated one-shot preparations (the classic
-  // allocator path) allocate nothing in steady state.
+  // Reused per thread so repeated one-shot preparations (the reference and
+  // sampled hierarchical paths) allocate nothing in steady state.
   thread_local detail::NlState state;
   state.full_build(snapshot, nodes, weights);
   state.materialize(out);
@@ -790,30 +782,10 @@ PreparedBuilder::PreparedBuilder(RequestProfile profile, TilingOptions tiling)
 }
 
 void PreparedBuilder::recompute_node_state() {
-  if (usable_.empty()) {
-    cl_.clear();
-    pc_.clear();
-    load_per_core_ = 0.0;
-    effective_capacity_ = 0;
-    return;
-  }
   cl_ = rescale_unit_mean(
       compute_loads(*snapshot_, usable_, profile_.compute_weights));
   pc_ = effective_process_counts(*snapshot_, usable_, profile_.ppn);
-
-  // Same accumulation order as the classic broker aggregates, so epoch gate
-  // verdicts are bit-identical to ResourceBroker::aggregates().
-  double load_sum = 0.0;
-  double core_sum = 0.0;
-  for (cluster::NodeId id : usable_) {
-    const monitor::NodeSnapshot& node =
-        snapshot_->nodes[static_cast<std::size_t>(id)];
-    load_sum += node.cpu_load_avg.one_min;
-    core_sum += static_cast<double>(node.spec.core_count);
-  }
-  load_per_core_ = core_sum > 0.0 ? load_sum / core_sum : 0.0;
-  effective_capacity_ = 0;
-  for (int c : pc_) effective_capacity_ += c;
+  gate_ = gate_load(*snapshot_, usable_, pc_);
 }
 
 void PreparedBuilder::rebuild(
@@ -1017,12 +989,25 @@ std::shared_ptr<PreparedSnapshot> PreparedBuilder::build() {
   prepared->tiles = tiles_cache_;
   prepared->pc = pc_;
   prepared->pos_of = pos_of_;
-  prepared->load_per_core = load_per_core_;
-  prepared->effective_capacity = effective_capacity_;
+  prepared->load_per_core = gate_.load_per_core;
+  prepared->effective_capacity = gate_.effective_capacity;
   prepared->incremental = incremental_;
   prepared->delta_nodes = delta_nodes_;
   prepared->delta_pairs = delta_pairs_;
   return prepared;
+}
+
+std::shared_ptr<PreparedSnapshot> prepare_epoch(
+    const monitor::ClusterSnapshot& snapshot, const RequestProfile& profile,
+    const std::optional<TilingOptions>& tiling) {
+  // Aliasing constructor with an empty owner: the epoch points at the
+  // caller's snapshot without taking ownership of it.
+  std::shared_ptr<const monitor::ClusterSnapshot> snapshot_ref(
+      std::shared_ptr<const void>(), &snapshot);
+  PreparedBuilder builder = tiling ? PreparedBuilder(profile, *tiling)
+                                   : PreparedBuilder(profile);
+  builder.rebuild(std::move(snapshot_ref));
+  return builder.build();
 }
 
 Allocation allocate_prepared(const PreparedSnapshot& prepared,
@@ -1030,7 +1015,8 @@ Allocation allocate_prepared(const PreparedSnapshot& prepared,
                              const GenerationOptions& options,
                              AllocStats* stats,
                              std::span<const int> pc_override,
-                             std::span<const std::size_t> starts) {
+                             std::span<const std::size_t> starts,
+                             SelectionResult* selection) {
   request.validate();
   NLARM_CHECK(RequestProfile::of(request) == prepared.profile)
       << "request profile does not match the epoch's prepared inputs";
@@ -1071,11 +1057,15 @@ Allocation allocate_prepared(const PreparedSnapshot& prepared,
 
   obs::ScopedSpan select_span("alloc.select",
                               &obs::metrics::alloc_select_seconds());
-  const SelectionResult selection = select_best_candidate(
-      std::move(candidates), prepared.cl, *prepared.nl, request.job);
+  SelectionResult local_selection;
+  SelectionResult& out_selection =
+      selection != nullptr ? *selection : local_selection;
+  out_selection = select_best_candidate(std::move(candidates), prepared.cl,
+                                        *prepared.nl, request.job);
   out_stats.select_seconds = select_span.stop();
 
-  const ScoredCandidate& best = selection.scored[selection.best_index];
+  const ScoredCandidate& best =
+      out_selection.scored[out_selection.best_index];
   out_stats.compute_cost = best.compute_cost;
   out_stats.network_cost = best.network_cost;
   Allocation allocation;
@@ -1091,152 +1081,5 @@ Allocation allocate_prepared(const PreparedSnapshot& prepared,
   out_stats.valid = true;
   return allocation;
 }
-
-namespace simd {
-
-void score_addition_row_scalar(double alpha, std::span<const double> cl,
-                               const double* nl_row, double beta,
-                               std::span<double> out) {
-  const std::size_t count = cl.size();
-  for (std::size_t u = 0; u < count; ++u) {
-    out[u] = alpha * cl[u] + beta * nl_row[u];
-  }
-}
-
-namespace {
-
-using ScoreFn = void (*)(double, std::span<const double>, const double*,
-                         double, std::span<double>);
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define NLARM_SIMD_AVX2 1
-__attribute__((target("avx2"))) void score_addition_row_avx2(
-    double alpha, std::span<const double> cl, const double* nl_row,
-    double beta, std::span<double> out) {
-  const std::size_t count = cl.size();
-  const double* cl_p = cl.data();
-  double* out_p = out.data();
-  const __m256d va = _mm256_set1_pd(alpha);
-  const __m256d vb = _mm256_set1_pd(beta);
-  std::size_t u = 0;
-  // mul + add, NOT vfmadd: two roundings per lane, exactly like the scalar
-  // expression (a*c) + (b*n). That is what keeps the lanes bit-identical.
-  for (; u + 4 <= count; u += 4) {
-    const __m256d c = _mm256_loadu_pd(cl_p + u);
-    const __m256d n = _mm256_loadu_pd(nl_row + u);
-    const __m256d r =
-        _mm256_add_pd(_mm256_mul_pd(va, c), _mm256_mul_pd(vb, n));
-    _mm256_storeu_pd(out_p + u, r);
-  }
-  for (; u < count; ++u) {
-    out_p[u] = alpha * cl_p[u] + beta * nl_row[u];
-  }
-}
-#endif
-
-#if defined(__aarch64__)
-#define NLARM_SIMD_NEON 1
-void score_addition_row_neon(double alpha, std::span<const double> cl,
-                             const double* nl_row, double beta,
-                             std::span<double> out) {
-  const std::size_t count = cl.size();
-  const double* cl_p = cl.data();
-  double* out_p = out.data();
-  const float64x2_t va = vdupq_n_f64(alpha);
-  const float64x2_t vb = vdupq_n_f64(beta);
-  std::size_t u = 0;
-  for (; u + 2 <= count; u += 2) {
-    const float64x2_t c = vld1q_f64(cl_p + u);
-    const float64x2_t n = vld1q_f64(nl_row + u);
-    // vmulq + vaddq (two roundings), never vfmaq: see the AVX2 note.
-    const float64x2_t r = vaddq_f64(vmulq_f64(va, c), vmulq_f64(vb, n));
-    vst1q_f64(out_p + u, r);
-  }
-  for (; u < count; ++u) {
-    out_p[u] = alpha * cl_p[u] + beta * nl_row[u];
-  }
-}
-#endif
-
-/// True when `candidate` reproduces the scalar kernel bit for bit on a
-/// probe row spanning several magnitude decades. Catches a toolchain that
-/// contracted the scalar loop into FMAs (one rounding), where the two-
-/// rounding vector lanes would differ in the last bit.
-bool kernel_matches_scalar(ScoreFn candidate) {
-  constexpr std::size_t kProbe = 37;  // odd: exercises the vector tail
-  std::array<double, kProbe> cl_probe;
-  std::array<double, kProbe> nl_probe;
-  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
-  const auto next01 = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return static_cast<double>(state >> 11) * 0x1.0p-53;
-  };
-  for (std::size_t i = 0; i < kProbe; ++i) {
-    const double scale = std::pow(10.0, static_cast<double>(i % 9) - 4.0);
-    cl_probe[i] = next01() * scale;
-    nl_probe[i] = next01() * scale;
-  }
-  std::array<double, kProbe> want;
-  std::array<double, kProbe> got;
-  for (const double alpha : {0.3, 0.5, 0.999}) {
-    const double beta = 1.0 - alpha;
-    score_addition_row_scalar(alpha, cl_probe, nl_probe.data(), beta, want);
-    candidate(alpha, cl_probe, nl_probe.data(), beta, got);
-    if (std::memcmp(want.data(), got.data(), sizeof want) != 0) return false;
-  }
-  return true;
-}
-
-struct Dispatch {
-  ScoreFn fn = &score_addition_row_scalar;
-  Kernel kernel = Kernel::kScalar;
-
-  Dispatch() {
-#if defined(NLARM_SIMD_AVX2)
-    if (__builtin_cpu_supports("avx2") &&
-        kernel_matches_scalar(&score_addition_row_avx2)) {
-      fn = &score_addition_row_avx2;
-      kernel = Kernel::kAvx2;
-    }
-#elif defined(NLARM_SIMD_NEON)
-    if (kernel_matches_scalar(&score_addition_row_neon)) {
-      fn = &score_addition_row_neon;
-      kernel = Kernel::kNeon;
-    }
-#endif
-    obs::metrics::simd_kernel().set(static_cast<double>(kernel));
-  }
-};
-
-const Dispatch& dispatch() {
-  static const Dispatch instance;
-  return instance;
-}
-
-}  // namespace
-
-void score_addition_row(double alpha, std::span<const double> cl,
-                        const double* nl_row, double beta,
-                        std::span<double> out) {
-  dispatch().fn(alpha, cl, nl_row, beta, out);
-}
-
-Kernel active_kernel() { return dispatch().kernel; }
-
-const char* active_kernel_name() {
-  switch (dispatch().kernel) {
-    case Kernel::kAvx2:
-      return "avx2";
-    case Kernel::kNeon:
-      return "neon";
-    case Kernel::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-}  // namespace simd
 
 }  // namespace nlarm::core

@@ -28,9 +28,10 @@
 // update subtracts a pair's old contribution and adds its new one; because
 // the accumulator is exact, the result equals re-accumulating every pair
 // from scratch, bit for bit, with O(dirty) work and no auxiliary partial-sum
-// structure. prepare() in the allocator and reference::allocate consume the
-// same canonical pipeline (prepared_network_loads), keeping the
-// golden-equivalence suite meaningful.
+// structure. The snapshot-facing allocators decide through a one-shot epoch
+// (prepare_epoch) and reference::allocate consumes the same canonical
+// pipeline (prepared_network_loads), keeping the golden-equivalence suite
+// meaningful.
 #pragma once
 
 #include <array>
@@ -43,6 +44,7 @@
 
 #include "core/allocator.h"
 #include "core/candidate.h"
+#include "core/compute_load.h"
 #include "core/weights.h"
 #include "monitor/snapshot.h"
 #include "monitor/snapshot_delta.h"
@@ -414,11 +416,11 @@ class TiledPairState {
 };
 
 /// One-shot canonical prepared-NL matrix (normalize by chunked sums, fill
-/// missing with the measured mean, unit-mean rescale). This is what the
-/// allocator's prepare(), reference::allocate and the epoch builder all use;
-/// it intentionally supersedes rescale_unit_mean(network_loads(...)) as the
-/// prepared-input definition (the raw network_loads() stays as the Eq. 2
-/// diagnostic form).
+/// missing with the measured mean, unit-mean rescale). This is what
+/// reference::allocate, the sampled hierarchical mode and the epoch builder
+/// all use; it intentionally supersedes rescale_unit_mean(network_loads(...))
+/// as the prepared-input definition (the raw network_loads() stays as the
+/// Eq. 2 diagnostic form).
 void prepared_network_loads(const monitor::ClusterSnapshot& snapshot,
                             std::span<const cluster::NodeId> nodes,
                             const NetworkLoadWeights& weights,
@@ -452,7 +454,7 @@ struct PreparedSnapshot {
   /// uses this to debit capacity by node id.
   std::vector<std::int32_t> pos_of;
 
-  // Broker-gate aggregates (same accumulation order as the classic path).
+  // Broker-gate aggregates (gate_load over the working set).
   double load_per_core = 0.0;
   int effective_capacity = 0;
 
@@ -535,8 +537,7 @@ class PreparedBuilder {
   std::vector<std::int32_t> pos_of_;
   std::vector<double> cl_;
   std::vector<int> pc_;
-  double load_per_core_ = 0.0;
-  int effective_capacity_ = 0;
+  GateLoad gate_;
 
   detail::NlState nl_state_;
   std::shared_ptr<const util::FlatMatrix> nl_cache_;  ///< last materialized
@@ -552,36 +553,14 @@ class PreparedBuilder {
   std::size_t delta_pairs_ = 0;
 };
 
-namespace simd {
-
-/// Which addition-cost kernel runtime dispatch selected for this process.
-enum class Kernel { kScalar = 0, kAvx2 = 1, kNeon = 2 };
-
-/// The canonical scalar Algorithm-1 scoring row:
-///   out[u] = alpha * cl[u] + beta * nl_row[u]
-/// (the caller zeroes out[start] afterwards). This is the reference the
-/// vector kernels are gated against; the equivalence suites pin the whole
-/// fast path to it.
-void score_addition_row_scalar(double alpha, std::span<const double> cl,
-                               const double* nl_row, double beta,
-                               std::span<double> out);
-
-/// Dispatched scoring row: AVX2 on x86-64, NEON on aarch64, scalar
-/// otherwise. The vector kernels use element-wise mul + add (never a fused
-/// multiply-add), so each lane performs the same two IEEE roundings as the
-/// scalar expression — and dispatch additionally runs a one-time exactness
-/// probe, falling back to scalar if the local compiler contracted the
-/// scalar loop differently. Results are therefore bit-identical to
-/// score_addition_row_scalar on every platform, by construction or by gate.
-void score_addition_row(double alpha, std::span<const double> cl,
-                        const double* nl_row, double beta,
-                        std::span<double> out);
-
-/// The kernel the one-time dispatch landed on ("scalar", "avx2", "neon").
-Kernel active_kernel();
-const char* active_kernel_name();
-
-}  // namespace simd
+/// One-shot epoch over a caller-owned snapshot: a full rebuild() then
+/// build() with no builder kept. The epoch aliases `snapshot` without
+/// owning it, so it must not outlive the snapshot. The snapshot-facing
+/// allocators reach the broker's epoch path through this, so a classic
+/// allocate() and an epoch decide() score the same prepared inputs.
+std::shared_ptr<PreparedSnapshot> prepare_epoch(
+    const monitor::ClusterSnapshot& snapshot, const RequestProfile& profile,
+    const std::optional<TilingOptions>& tiling = std::nullopt);
 
 /// Stateless Algorithms 1+2 against an immutable epoch — the concurrent
 /// decide() hot path (thread safety comes from touching only the epoch,
@@ -591,12 +570,14 @@ const char* active_kernel_name();
 /// replaces the epoch's per-node capacities (zero entries are skipped by the
 /// process fill), and a non-empty `starts` restricts candidate generation to
 /// those working-set positions. Both empty = the plain single-request path.
-/// `stats` (optional) receives the per-stage timings and counters.
+/// `stats` (optional) receives the per-stage timings and counters;
+/// `selection` (optional) the full scoring detail (--explain reads it).
 Allocation allocate_prepared(const PreparedSnapshot& prepared,
                              const AllocationRequest& request,
                              const GenerationOptions& options = {},
                              AllocStats* stats = nullptr,
                              std::span<const int> pc_override = {},
-                             std::span<const std::size_t> starts = {});
+                             std::span<const std::size_t> starts = {},
+                             SelectionResult* selection = nullptr);
 
 }  // namespace nlarm::core

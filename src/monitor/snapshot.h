@@ -63,9 +63,8 @@ struct NetSnapshot {
 struct ClusterSnapshot {
   double time = 0.0;               ///< assembly time
   /// Monotone change counter stamped by the assembling MonitorStore; 0 means
-  /// "unversioned" (hand-built snapshots) and disables every memoization
-  /// keyed on it. Two snapshots from the same process with equal non-zero
-  /// versions carry identical monitored state.
+  /// "unversioned" (hand-built snapshots). Two snapshots from the same
+  /// process with equal non-zero versions carry identical monitored state.
   std::uint64_t version = 0;
   std::vector<bool> livehosts;     ///< LivehostsD's view
   std::vector<NodeSnapshot> nodes;

@@ -1,8 +1,8 @@
 // Structured decision audit: one JSON object per brokered allocation.
 //
 // The broker fills an AuditRecord per decide() call — request, snapshot
-// identity, gate verdict, chosen nodes with their costs, memoization
-// hit/miss, per-stage wall times — and appends it to an attached AuditLog.
+// identity, gate verdict, chosen nodes with their costs, epoch cache
+// flags, per-stage wall times — and appends it to an attached AuditLog.
 // Records serialize to single-line JSON (JSONL when concatenated) and parse
 // back for tooling and tests.
 #pragma once

@@ -2,7 +2,7 @@
 //
 // The optimized pipeline (flat matrices, top-k candidate generation,
 // generation-time incremental costs, dedup'd selection, parallel fan-out,
-// prepared-input memoization) must be BIT-IDENTICAL to the retained
+// the one-shot prepared epoch) must be BIT-IDENTICAL to the retained
 // reference implementation (core/reference.h) — same members, same procs,
 // same raw and normalized costs, same winner — on random monitored
 // snapshots at several cluster sizes, through both the top-k path and the
@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/allocator.h"
+#include "core/broker.h"
 #include "core/candidate.h"
 #include "core/compute_load.h"
 #include "core/degrade.h"
@@ -28,6 +29,7 @@
 #include "core/reference.h"
 #include "core/selection.h"
 #include "monitor/snapshot.h"
+#include "obs/audit.h"
 #include "sim/rng.h"
 #include "util/thread_pool.h"
 
@@ -133,10 +135,65 @@ void expect_same_allocation(const Allocation& actual,
   EXPECT_EQ(actual.avg_bw_complement_mbps, expected.avg_bw_complement_mbps);
 }
 
+/// Classic decide(snapshot) and decide(pin) on an epoch of the same
+/// snapshot must return equal decisions and audit records that differ only
+/// in the epoch stamp, the two cache flags and the timings.
+void check_classic_matches_epoch(const monitor::ClusterSnapshot& snap,
+                                 const AllocationRequest& request,
+                                 const GenerationOptions& options,
+                                 int refresh_threads) {
+  BrokerPolicy policy;  // allocate every time: the gate is not under test
+  policy.max_load_per_core = 1e9;
+  policy.allow_oversubscription = true;
+  NetworkLoadAwareAllocator allocator;
+  allocator.set_generation_options(options);
+  ResourceBroker broker(allocator, policy);
+  broker.set_refresh_threads(refresh_threads);
+  obs::AuditLog audit;
+  broker.set_audit_log(&audit);
+
+  const BrokerDecision classic = broker.decide(snap, request);
+  broker.refresh_epoch(std::make_shared<const monitor::ClusterSnapshot>(snap),
+                       RequestProfile::of(request));
+  const BrokerDecision via_epoch = broker.decide(broker.pin_epoch(), request);
+  ASSERT_EQ(classic.action, BrokerDecision::Action::kAllocate);
+  EXPECT_EQ(via_epoch.action, classic.action);
+  EXPECT_EQ(via_epoch.reason, classic.reason);
+  EXPECT_EQ(via_epoch.cluster_load_per_core, classic.cluster_load_per_core);
+  EXPECT_EQ(via_epoch.effective_capacity, classic.effective_capacity);
+  EXPECT_EQ(via_epoch.allocation.policy, classic.allocation.policy);
+  expect_same_allocation(via_epoch.allocation, classic.allocation);
+
+  ASSERT_EQ(audit.size(), 2u);
+  std::vector<obs::AuditRecord> records = audit.records();
+  obs::AuditRecord& from_classic = records[0];
+  obs::AuditRecord& from_epoch = records[1];
+  EXPECT_EQ(from_classic.epoch, 0u);
+  EXPECT_GT(from_epoch.epoch, 0u);
+  EXPECT_FALSE(from_classic.prepared_cache_hit);
+  EXPECT_FALSE(from_classic.aggregates_cache_hit);
+  EXPECT_TRUE(from_epoch.aggregates_cache_hit);
+  // Bit-exact on the doubles, then field-for-field through the JSON form
+  // with the fields allowed to differ blanked.
+  EXPECT_EQ(from_epoch.total_cost, from_classic.total_cost);
+  EXPECT_EQ(from_epoch.compute_cost, from_classic.compute_cost);
+  EXPECT_EQ(from_epoch.network_cost, from_classic.network_cost);
+  for (obs::AuditRecord* record : {&from_classic, &from_epoch}) {
+    record->epoch = 0;
+    record->prepared_cache_hit = false;
+    record->aggregates_cache_hit = false;
+    record->gate_seconds = 0.0;
+    record->prepare_seconds = 0.0;
+    record->generate_seconds = 0.0;
+    record->select_seconds = 0.0;
+    record->total_seconds = 0.0;
+  }
+  EXPECT_EQ(from_epoch.to_json(), from_classic.to_json());
+}
+
 /// Checks the whole pipeline on one snapshot, through every fast-path
 /// configuration.
 void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs) {
-  const int v = static_cast<int>(snap.nodes.size());
   const AllocationRequest request = make_request(nprocs);
 
   const std::vector<cluster::NodeId> usable = snap.usable_nodes();
@@ -194,15 +251,17 @@ void check_on_snapshot(const monitor::ClusterSnapshot& snap, int nprocs) {
   expect_same_allocation(parallel_allocator.allocate(snap, request),
                          ref_alloc);
 
-  // Memoized repeat on a versioned snapshot changes nothing.
-  monitor::ClusterSnapshot versioned = snap;
-  versioned.version = 0xbeef0000ull + static_cast<std::uint64_t>(v);
-  NetworkLoadAwareAllocator memo_allocator;
-  memo_allocator.set_generation_options(serial);
-  expect_same_allocation(memo_allocator.allocate(versioned, request),
+  // One scoring path: allocate_prepared on the one-shot epoch the allocator
+  // builds lands on the same allocation as allocate() and the reference.
+  const std::shared_ptr<PreparedSnapshot> epoch =
+      prepare_epoch(snap, RequestProfile::of(request));
+  expect_same_allocation(allocate_prepared(*epoch, request, serial),
                          ref_alloc);
-  expect_same_allocation(memo_allocator.allocate(versioned, request),
+  expect_same_allocation(allocate_prepared(*epoch, request, parallel),
                          ref_alloc);
+
+  check_classic_matches_epoch(snap, request, serial, /*refresh_threads=*/1);
+  check_classic_matches_epoch(snap, request, parallel, /*refresh_threads=*/4);
 }
 
 /// Random snapshot at one cluster size and process count.
@@ -246,8 +305,8 @@ TEST(FastPathEquivalenceTest, ManySeedsSmallClusters) {
 
 TEST(FastPathEquivalenceTest, MemoizationInvalidatedByVersionBump) {
   // Two different versioned snapshots through one allocator must match what
-  // a fresh allocator computes for each — the cache may never leak stale
-  // inputs across versions.
+  // a fresh allocator computes for each — a reused allocator may never leak
+  // state across snapshots.
   const AllocationRequest request = make_request(12);
   monitor::ClusterSnapshot snap_a = random_snapshot(20, 11);
   snap_a.version = 1;

@@ -1,11 +1,10 @@
-// Sharded admission front end (core/serve_shard.h): SIMD scoring bit-
-// identity, ledger semantics, decision-cache replay/invalidation, request
-// coalescing, and the multi-producer stress cases ThreadSanitizer covers
-// (CI test regex includes "Serve" and "Cache").
+// Sharded admission front end (core/serve_shard.h): ledger semantics,
+// decision-cache replay/invalidation, request coalescing, and the
+// multi-producer stress cases ThreadSanitizer covers (CI test regex
+// includes "Serve" and "Cache").
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -15,7 +14,6 @@
 #include "core/serve_shard.h"
 #include "test_helpers.h"
 #include "util/check.h"
-#include "util/flat_matrix.h"
 
 namespace nlarm::core {
 namespace {
@@ -45,55 +43,6 @@ void expect_same_decision(const BrokerDecision& a, const BrokerDecision& b) {
   EXPECT_EQ(a.allocation.procs_per_node, b.allocation.procs_per_node);
   EXPECT_EQ(a.allocation.total_cost, b.allocation.total_cost);
   EXPECT_EQ(a.effective_capacity, b.effective_capacity);
-}
-
-// --- SIMD scoring ---
-
-TEST(ServeSimdTest, DispatchedKernelIsBitIdenticalToScalar) {
-  // Every size from 1 to 41 exercises the vector body and every tail length
-  // of both the AVX2 (stride 4) and NEON (stride 2) kernels.
-  std::uint64_t state = 0x243f6a8885a308d3ULL;
-  const auto next = [&state] {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return static_cast<double>(state % 100000) / 997.0;
-  };
-  for (std::size_t n = 1; n <= 41; ++n) {
-    std::vector<double> cl(n);
-    std::vector<double> row(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      cl[i] = next();
-      row[i] = next();
-    }
-    for (const double alpha : {0.3, 0.5, 0.999}) {
-      std::vector<double> got(n);
-      std::vector<double> want(n);
-      simd::score_addition_row(alpha, cl, row.data(), 1.0 - alpha, got);
-      simd::score_addition_row_scalar(alpha, cl, row.data(), 1.0 - alpha,
-                                      want);
-      ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(double)), 0)
-          << "kernel " << simd::active_kernel_name()
-          << " diverged from scalar at n=" << n << " alpha=" << alpha;
-    }
-  }
-}
-
-TEST(ServeSimdTest, ActiveKernelIsReported) {
-  const simd::Kernel kernel = simd::active_kernel();
-  const char* name = simd::active_kernel_name();
-  ASSERT_NE(name, nullptr);
-  switch (kernel) {
-    case simd::Kernel::kScalar:
-      EXPECT_STREQ(name, "scalar");
-      break;
-    case simd::Kernel::kAvx2:
-      EXPECT_STREQ(name, "avx2");
-      break;
-    case simd::Kernel::kNeon:
-      EXPECT_STREQ(name, "neon");
-      break;
-  }
 }
 
 // --- AdmissionLedger ---

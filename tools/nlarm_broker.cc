@@ -96,18 +96,6 @@ using namespace nlarm;
 
 namespace {
 
-std::unique_ptr<core::Allocator> make_policy_allocator(
-    const std::string& policy, std::uint64_t seed) {
-  if (policy == "hierarchical")
-    return std::make_unique<core::HierarchicalAllocator>();
-  if (policy == "load-aware")
-    return std::make_unique<core::LoadAwareAllocator>();
-  if (policy == "sequential")
-    return std::make_unique<core::SequentialAllocator>(seed);
-  if (policy == "random") return std::make_unique<core::RandomAllocator>(seed);
-  return std::make_unique<core::NetworkLoadAwareAllocator>();
-}
-
 /// Bitwise decision parity: the drill requires the follower's decision at
 /// epoch E to reproduce the leader's exactly, diagnostics included.
 bool decisions_equal(const core::BrokerDecision& a,
@@ -135,7 +123,6 @@ bool decisions_equal(const core::BrokerDecision& a,
 /// same replicated version. Returns the process exit code (0 pass, 3 fail).
 int run_failover_drill(sim::Simulation& sim, monitor::ResourceMonitor& monitor,
                        exp::ChaosHarness& harness, bool* kill_pending,
-                       const std::string& policy_name, std::uint64_t seed,
                        const core::BrokerPolicy& broker_policy,
                        const core::AllocationRequest& request,
                        const std::string& log_path_arg, double drill_seconds,
@@ -149,9 +136,9 @@ int run_failover_drill(sim::Simulation& sim, monitor::ResourceMonitor& monitor,
   const core::RequestProfile profile = core::RequestProfile::of(request);
   // Separate allocator instances: the classic-path allocator carries shared
   // mutable scratch, and the drill's two brokers decide in the same tick.
-  const auto leader_allocator = make_policy_allocator(policy_name, seed);
-  const auto follower_allocator = make_policy_allocator(policy_name, seed);
-  core::ResourceBroker leader(*leader_allocator, broker_policy);
+  core::NetworkLoadAwareAllocator leader_allocator;
+  core::NetworkLoadAwareAllocator follower_allocator;
+  core::ResourceBroker leader(leader_allocator, broker_policy);
   if (refresh_threads > 1) leader.set_refresh_threads(refresh_threads);
   monitor::DeltaLogWriter writer(log_path);
 
@@ -159,7 +146,7 @@ int run_failover_drill(sim::Simulation& sim, monitor::ResourceMonitor& monitor,
   replica_options.max_epoch_age_s = max_epoch_age;
   replica_options.promote_after_s = promote_after;
   replica_options.refresh_threads = refresh_threads;
-  core::FollowerBroker follower(*follower_allocator, log_path, profile,
+  core::FollowerBroker follower(follower_allocator, log_path, profile,
                                 replica_options, broker_policy);
 
   const double tick_s = 5.0;
@@ -271,15 +258,16 @@ int main(int argc, char** argv) {
        {"beta", "network weight (overrides alpha if given)"},
        {"policy",
         "network-load-aware|hierarchical|load-aware|sequential|random "
-        "(default network-load-aware)"},
+        "(default network-load-aware); the epoch modes (serve threads, "
+        "chaos, role, failover drill) serve network-load-aware only"},
        {"allocator",
         "flat|hierarchical epoch serving path (default flat); hierarchical "
         "keeps tiled pair state and decides via the two-phase hot path"},
        {"block-size",
         "tiled mode: fixed nodes per block; 0 groups by switch (default 0)"},
        {"pair-sample",
-        "hierarchical: sampled pairs per group pair; 0 = exact tile "
-        "aggregation (default 4)"},
+        "--policy hierarchical: sampled pairs per group pair; 0 = exact "
+        "tile aggregation (default 4)"},
        {"two-phase-min-nodes",
         "tiled mode: prune blocks only at or above this many usable nodes; "
         "0 always prunes (default 0)"},
@@ -436,6 +424,68 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Request and policy flags are checked here, before the warm-up, so a bad
+  // flag fails fast with one line instead of an uncaught CheckError.
+  core::AllocationRequest request;
+  try {
+    request.nprocs = static_cast<int>(parser.get_long("procs", 32));
+    request.ppn = static_cast<int>(parser.get_long("ppn", 4));
+    double alpha = parser.get_double("alpha", 0.3);
+    if (parser.has("beta")) alpha = 1.0 - parser.get_double("beta", 0.7);
+    request.job = core::JobWeights{alpha, 1.0 - alpha};
+    request.validate();
+  } catch (const util::CheckError& error) {
+    std::cerr << "bad request: " << error.what() << "\n";
+    return 1;
+  }
+
+  const std::string policy_name =
+      parser.get_string("policy", "network-load-aware");
+  // decide_prepared never consults the borrowed allocator, so every mode
+  // that decides from epochs serves network-load-aware whatever --policy
+  // says; refuse the flag rather than mislabel the audit trail.
+  const bool epoch_mode = !role.empty() || !chaos_text.empty() ||
+                          parser.get_long("serve-threads", 0) > 0;
+  if (epoch_mode && policy_name != "network-load-aware") {
+    std::cerr << "--policy " << policy_name
+              << " is not served by the epoch modes (serve threads, chaos, "
+                 "role, failover drill); they decide network-load-aware\n";
+    return 1;
+  }
+  const std::string allocator_mode = parser.get_string("allocator", "flat");
+  if (allocator_mode == "hierarchical" && parser.has("pair-sample")) {
+    std::cerr << "--pair-sample applies to --policy hierarchical; "
+                 "--allocator hierarchical aggregates every pair exactly\n";
+    return 1;
+  }
+
+  core::HierarchicalOptions sampled_options;
+  if (policy_name == "hierarchical") {
+    sampled_options.pair_sample = static_cast<int>(
+        parser.get_long("pair-sample", sampled_options.pair_sample));
+    try {
+      sampled_options.validate();
+    } catch (const util::CheckError& error) {
+      std::cerr << "bad hierarchical options: " << error.what() << "\n";
+      return 1;
+    }
+  }
+  core::NetworkLoadAwareAllocator ours;
+  core::HierarchicalAllocator hierarchical(sampled_options);
+  core::LoadAwareAllocator load_aware;
+  core::SequentialAllocator sequential(options.seed);
+  core::RandomAllocator random(options.seed);
+  core::Allocator* allocator = nullptr;
+  if (policy_name == "network-load-aware") allocator = &ours;
+  else if (policy_name == "hierarchical") allocator = &hierarchical;
+  else if (policy_name == "load-aware") allocator = &load_aware;
+  else if (policy_name == "sequential") allocator = &sequential;
+  else if (policy_name == "random") allocator = &random;
+  if (allocator == nullptr) {
+    std::cerr << "unknown --policy '" << policy_name << "'\n";
+    return 1;
+  }
+
   monitor::ClusterSnapshot snapshot;
   const std::string snapshot_path = parser.get_string("snapshot", "");
   if (!snapshot_path.empty()) {
@@ -484,32 +534,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  core::AllocationRequest request;
-  request.nprocs = static_cast<int>(parser.get_long("procs", 32));
-  request.ppn = static_cast<int>(parser.get_long("ppn", 4));
-  double alpha = parser.get_double("alpha", 0.3);
-  if (parser.has("beta")) alpha = 1.0 - parser.get_double("beta", 0.7);
-  request.job = core::JobWeights{alpha, 1.0 - alpha};
-
-  // Pick the policy.
-  const std::string policy_name =
-      parser.get_string("policy", "network-load-aware");
-  core::NetworkLoadAwareAllocator ours;
-  core::HierarchicalAllocator hierarchical;
-  core::LoadAwareAllocator load_aware;
-  core::SequentialAllocator sequential(options.seed);
-  core::RandomAllocator random(options.seed);
-  core::Allocator* allocator = nullptr;
-  if (policy_name == "network-load-aware") allocator = &ours;
-  else if (policy_name == "hierarchical") allocator = &hierarchical;
-  else if (policy_name == "load-aware") allocator = &load_aware;
-  else if (policy_name == "sequential") allocator = &sequential;
-  else if (policy_name == "random") allocator = &random;
-  if (allocator == nullptr) {
-    std::cerr << "unknown --policy '" << policy_name << "'\n";
-    return 1;
-  }
-
   core::BrokerPolicy broker_policy;
   broker_policy.max_load_per_core = parser.get_double("max-load", 0.5);
   core::ResourceBroker broker(*allocator, broker_policy);
@@ -527,11 +551,8 @@ int main(int argc, char** argv) {
   // Serving-path selection, orthogonal to --policy (which picks the classic
   // one-shot allocator): hierarchical keeps tiled pair state in the epoch
   // builder and routes decide() through allocate_two_phase.
-  const std::string allocator_mode = parser.get_string("allocator", "flat");
   if (allocator_mode == "hierarchical") {
     core::HierarchicalOptions hier_options;
-    hier_options.pair_sample =
-        static_cast<int>(parser.get_long("pair-sample", 4));
     hier_options.two_phase_min_nodes = static_cast<std::size_t>(
         parser.get_long("two-phase-min-nodes", 0));
     hier_options.block_size =
@@ -750,8 +771,8 @@ int main(int argc, char** argv) {
     harness.on_kill_leader([&kill_pending] { kill_pending = true; });
     harness.arm();
     const int code = run_failover_drill(
-        sim, drill_monitor, harness, &kill_pending, policy_name, options.seed,
-        broker_policy, request, delta_log_path,
+        sim, drill_monitor, harness, &kill_pending, broker_policy, request,
+        delta_log_path,
         parser.get_double("chaos-seconds", 150.0),
         parser.get_double("promote-after", 15.0), max_epoch_age,
         refresh_threads, *telemetry_now);
@@ -946,8 +967,8 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "serve plane: %d shard(s), %llu drain(s), cache %llu hit / "
                    "%llu miss / %llu invalidation(s) (%.1f%% hit), %llu "
-                   "coalesced, %llu scoring pass(es), %llu full-ring spin(s), "
-                   "simd=%s\n",
+                   "coalesced, %llu scoring pass(es), %llu full-ring "
+                   "spin(s)\n",
                    serve_shards,
                    static_cast<unsigned long long>(stats.drains),
                    static_cast<unsigned long long>(stats.cache_hits),
@@ -956,8 +977,7 @@ int main(int argc, char** argv) {
                    hit_rate,
                    static_cast<unsigned long long>(stats.coalesced),
                    static_cast<unsigned long long>(stats.scoring_passes),
-                   static_cast<unsigned long long>(stats.queue_full_spins),
-                   core::simd::active_kernel_name());
+                   static_cast<unsigned long long>(stats.queue_full_spins));
       plane.reset();
     }
     write_observability_outputs(metrics_path, audit_path, trace_path,

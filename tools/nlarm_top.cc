@@ -221,11 +221,10 @@ int main(int argc, char** argv) {
                 series(m, "nlarm_serve_shard_queue_depth"),
                 series(m, "nlarm_serve_shards"));
     std::printf("        invalidations %.0f  scoring-passes %.0f  "
-                "full-ring spins %.0f  simd-kernel %.0f\n",
+                "full-ring spins %.0f\n",
                 series(m, "nlarm_serve_cache_invalidations_total"),
                 series(m, "nlarm_serve_scoring_passes_total"),
-                series(m, "nlarm_serve_queue_full_spins_total"),
-                series(m, "nlarm_simd_kernel"));
+                series(m, "nlarm_serve_queue_full_spins_total"));
     std::printf("\n");
     std::printf("totals  decisions %.0f  allocations %.0f  waits %.0f  "
                 "fallbacks %.0f  refusals %.0f\n",
